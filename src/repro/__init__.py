@@ -21,7 +21,13 @@ EXPERIMENTS.md for how each benchmark script maps to the paper's tables and
 figures.
 """
 
-from repro.errors import DatasetError, GraphFormatError, ParameterError, RwdomError
+from repro.errors import (
+    DatasetError,
+    GraphFormatError,
+    ParameterError,
+    RecordOrderError,
+    RwdomError,
+)
 from repro.version import __version__
 
 # Substrate
@@ -143,6 +149,7 @@ __all__ = [
     "ParameterError",
     "GraphFormatError",
     "DatasetError",
+    "RecordOrderError",
     # graphs
     "Graph",
     "WeightedDiGraph",

@@ -25,9 +25,10 @@ That functional form yields the two properties this module is built on:
   end-to-end speedup) in CI.
 
 Entries are kept in the *canonical* order — grouped by hit node, sorted
-by state within each group — that every builder in the package now emits
-(the static builder canonicalizes in
-:meth:`~repro.walks.index.FlatWalkIndex._from_records`).  A dynamic
+by state within each group — that every builder in the package emits,
+through the same state-major extraction and bucket-by-hit assembler
+(:func:`~repro.walks.build.canonical_entries`) here as in the static
+builder.  A dynamic
 index is therefore byte-identical — not merely set-equivalent — to a
 static rebuild whenever the ``n · R`` batch fits one static-build chunk
 (``chunk_rows``, default ``2**19``); past that the static builder's
@@ -48,7 +49,9 @@ from repro.errors import ParameterError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.engine import batch_first_hits
+from repro.walks.build import canonical_entries
 from repro.walks.index import FlatWalkIndex, walker_major_starts
+from repro.walks.parallel import canonical_record_key
 from repro.walks.parallel import first_visit_records as _first_visit_records
 from repro.dynamic.graph import DynamicGraph, EditBatch, edit_graph
 
@@ -276,9 +279,8 @@ class DynamicWalkIndex:
         uniforms = engine_uniforms(entropy, starts.size, length)
         walks = replay_walks(graph, starts, uniforms)
         states = _states_of_rows(np.arange(starts.size), n, num_replicates)
-        hits, state_vals, hops = _first_visit_records(walks, states)
         flat, keys = _canonical_flat(
-            hits, state_vals, hops, n, length, num_replicates
+            _first_visit_records(walks, states, n), n, length, num_replicates
         )
         return cls(
             graph=graph,
@@ -323,7 +325,9 @@ class DynamicWalkIndex:
                 np.arange(self.num_nodes, dtype=np.int64),
                 np.diff(self.flat.indptr),
             )
-            self._keys = owners * self.num_states + self.flat.state
+            self._keys = canonical_record_key(
+                owners, self.flat.state, self.num_states
+            )
         return self._keys
 
     def _buffer(self, name: str, size: int, dtype) -> np.ndarray:
@@ -428,7 +432,7 @@ class DynamicWalkIndex:
                         rows, self.num_nodes, replicates
                     )
                     removed = _first_visit_records(
-                        self.walks[rows], dirty_states
+                        self.walks[rows], dirty_states, self.num_nodes
                     )[0].size
                     before = self.flat.total_entries
                     self.walks[rows] = new_walks
@@ -475,10 +479,9 @@ class DynamicWalkIndex:
             np.arange(self.walks.shape[0]), self.num_nodes,
             self.num_replicates,
         )
-        hits, state_vals, hops = _first_visit_records(self.walks, states)
         self.flat, self._keys = _canonical_flat(
-            hits, state_vals, hops, self.num_nodes, self.length,
-            self.num_replicates,
+            _first_visit_records(self.walks, states, self.num_nodes),
+            self.num_nodes, self.length, self.num_replicates,
         )
         self._spare_keys = None
         self._rows = None
@@ -530,7 +533,6 @@ class DynamicWalkIndex:
         """
         n = self.num_nodes
         replicates = self.num_replicates
-        num_states = self.num_states
         flat = self.flat
         keys = self.keys
         dirty_states = _states_of_rows(rows, n, replicates)
@@ -538,10 +540,10 @@ class DynamicWalkIndex:
         # The entries to drop are exactly the first visits of the dirty
         # rows' *old* trajectories, so their positions come from binary
         # search over the maintained keys — no full-length gather.
-        old_hits, old_states, _ = _first_visit_records(
-            self.walks[rows], dirty_states
+        old_indptr, _, _, old_keys = _canonical_records(
+            _first_visit_records(self.walks[rows], dirty_states, n),
+            n, replicates,
         )
-        old_keys = np.sort(old_hits * num_states + old_states)
         removed_pos = np.searchsorted(keys, old_keys)
         if old_keys.size and (
             removed_pos[-1] >= keys.size
@@ -558,11 +560,9 @@ class DynamicWalkIndex:
         kept_state = flat.state[keep]
         kept_hop = flat.hop[keep]
 
-        hits, states, hops = _first_visit_records(new_walks, dirty_states)
-        new_keys = hits * num_states + states
-        order = np.argsort(new_keys)
-        new_keys = new_keys[order]
-
+        new_indptr, new_state, new_hop, new_keys = _canonical_records(
+            _first_visit_records(new_walks, dirty_states, n), n, replicates
+        )
         positions = np.searchsorted(kept_keys, new_keys)
         total = kept_keys.size + new_keys.size
         new_slots = positions + np.arange(new_keys.size, dtype=np.int64)
@@ -581,15 +581,13 @@ class DynamicWalkIndex:
         merged_keys[new_slots] = new_keys
         merged_state = np.empty(total, dtype=flat.state.dtype)
         merged_state[kept_mask] = kept_state
-        merged_state[new_slots] = states[order].astype(flat.state.dtype)
+        merged_state[new_slots] = new_state
         merged_hop = np.empty(total, dtype=np.int16)
         merged_hop[kept_mask] = kept_hop
-        merged_hop[new_slots] = hops[order].astype(np.int16)
-        counts = (
-            np.diff(flat.indptr)
-            - np.bincount(old_hits, minlength=n)
-            + np.bincount(hits, minlength=n)
-        )
+        merged_hop[new_slots] = new_hop
+        old_counts = np.diff(old_indptr)
+        new_counts = np.diff(new_indptr)
+        counts = np.diff(flat.indptr) - old_counts + new_counts
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.flat = FlatWalkIndex(
@@ -606,7 +604,7 @@ class DynamicWalkIndex:
         )
         self._keys = merged_keys
         if self._rows is not None or self._crows is not None:
-            changed = np.union1d(old_hits, hits)
+            changed = np.flatnonzero(old_counts | new_counts)
             if self._rows is not None:
                 from repro.core.coverage_kernel import patch_packed_rows
 
@@ -615,7 +613,7 @@ class DynamicWalkIndex:
                 # Re-encodes only the changed rows' containers; returns a
                 # new instance, never mutating the previous one.
                 self._crows = self._crows.patched(self.flat, changed)
-        return int(old_hits.size), int(hits.size)
+        return int(old_keys.size), int(new_keys.size)
 
     # ------------------------------------------------------------------
     def packed_hit_rows(self, max_bytes: "int | None" = None) -> np.ndarray:
@@ -704,41 +702,48 @@ def _states_of_rows(
     return (rows % num_replicates) * num_nodes + rows // num_replicates
 
 
+def _canonical_records(
+    records: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    num_nodes: int,
+    num_replicates: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Canonical ``(indptr, state, hop, keys)`` of a state-major record set.
+
+    The records come straight from :func:`first_visit_records`, so the
+    shared assembler (:func:`repro.walks.build.canonical_entries`) puts
+    them in canonical ``(hit, state)`` order by a stable bucket-by-hit;
+    the keys (:func:`canonical_record_key`) are what incremental patches
+    merge on.
+    """
+    indptr, state, hop = canonical_entries([records], num_nodes, num_replicates)
+    hits = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+    keys = canonical_record_key(hits, state, num_nodes * num_replicates)
+    return indptr, state, hop, keys
+
+
 def _canonical_flat(
-    hits: np.ndarray,
-    states: np.ndarray,
-    hops: np.ndarray,
+    records: "tuple[np.ndarray, np.ndarray, np.ndarray]",
     num_nodes: int,
     length: int,
     num_replicates: int,
 ) -> tuple[FlatWalkIndex, np.ndarray]:
-    """Assemble records into canonical ``(hit, state)`` order.
+    """Assemble records into a canonical index plus its sorted keys.
 
     States are unique within a hit node (first-visit dedup), so the key
-    ``hit * num_states + state`` is a strict total order and the layout is
-    independent of record generation order — the property that lets
-    incremental patches merge instead of re-sorting.  Returns the index
-    and its sorted key array (maintained by the patches).
+    is a strict total order and the layout is independent of record
+    generation order — the property that lets incremental patches merge
+    instead of re-sorting.  Returns the index and its key array
+    (maintained by the patches).
     """
-    num_states = num_nodes * num_replicates
-    keys = hits * num_states + states
-    order = np.argsort(keys)
-    counts = (
-        np.bincount(hits, minlength=num_nodes)
-        if hits.size
-        else np.zeros(num_nodes, dtype=np.int64)
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    state_dtype = (
-        np.int32 if num_states < np.iinfo(np.int32).max else np.int64
+    indptr, state, hop, keys = _canonical_records(
+        records, num_nodes, num_replicates
     )
     flat = FlatWalkIndex(
         indptr=indptr,
-        state=states[order].astype(state_dtype),
-        hop=hops[order].astype(np.int16),
+        state=state,
+        hop=hop,
         num_nodes=num_nodes,
         length=length,
         num_replicates=num_replicates,
     )
-    return flat, keys[order]
+    return flat, keys

@@ -13,6 +13,7 @@ __all__ = [
     "ParameterError",
     "GraphFormatError",
     "DatasetError",
+    "RecordOrderError",
 ]
 
 
@@ -34,3 +35,13 @@ class GraphFormatError(RwdomError, ValueError):
 
 class DatasetError(RwdomError, KeyError):
     """An unknown dataset name was requested from the registry."""
+
+
+class RecordOrderError(RwdomError, ValueError):
+    """A walk engine yielded first-visit records out of state-major order.
+
+    The index builders assemble the canonical ``(hit, state)`` order by a
+    stable bucket-by-hit that is only correct over a ``(state, hop)``
+    ordered record stream, so they check the order as records arrive and
+    raise this instead of building a silently wrong index.
+    """

@@ -72,6 +72,7 @@ from repro.walks.engine import batch_first_hits, batch_walks
 from repro.walks.parallel import (
     SharedArrayPack,
     first_visit_records,
+    interleave_replicates,
     run_task,
     slice_first_hits,
     slice_walks,
@@ -193,8 +194,12 @@ class WalkEngine(ABC):
         chunk's walks plus whatever the consumer retains.  The chunking
         is part of the RNG contract — chunk ``c`` consumes its
         ``len(chunk) * length`` uniforms before chunk ``c + 1`` begins —
-        so every backend yields the same per-chunk record *sets* for the
-        same ``(seed, chunk_rows)``.  Arguments are validated eagerly
+        so every backend yields the same per-chunk records for the same
+        ``(seed, chunk_rows)``, each chunk in ``(state, hop)`` order
+        (:func:`~repro.walks.parallel.first_visit_records`) — the order
+        the canonical assembler checks and relies on.  ``states`` must
+        follow the builders' ``rep * n + walker`` layout over
+        walker-major rows.  Arguments are validated eagerly
         (before the first chunk is computed); the caller's generator is
         only guaranteed to be positioned past the whole batch once the
         iterator is exhausted.
@@ -216,7 +221,9 @@ class WalkEngine(ABC):
         for lo in range(0, starts.size, chunk_rows):
             rows = starts[lo : lo + chunk_rows]
             walks = self.batch_walks(graph, rows, length, seed=rng)
-            yield first_visit_records(walks, states[lo : lo + chunk_rows])
+            yield first_visit_records(
+                walks, states[lo : lo + chunk_rows], graph.num_nodes
+            )
 
     def walk_records(
         self,
@@ -232,10 +239,9 @@ class WalkEngine(ABC):
         The index builders' entry point (Algorithm 3's extraction):
         ``states[b]`` is row ``b``'s flattened ``D`` index, carried into
         the records.  Concatenates :meth:`iter_walk_records` — same
-        chunking, same RNG contract — so every backend produces the same
-        record *set* for the same ``(seed, chunk_rows)``; record order is
-        a backend detail that :meth:`FlatWalkIndex._from_records`
-        canonicalizes away.  The default generates walks chunk-by-chunk
+        chunking, same RNG contract, same per-chunk ``(state, hop)``
+        order — so every backend produces the same records for the same
+        ``(seed, chunk_rows)``.  The default generates walks chunk-by-chunk
         via :meth:`batch_walks` and extracts in-process; the multiproc
         backend yields chunks whose records were extracted inside its
         workers.
@@ -260,8 +266,11 @@ def _concat_records(
     hit_parts: list, state_parts: list, hop_parts: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not hit_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+        return (
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int16),
+        )
     return (
         np.concatenate(hit_parts),
         np.concatenate(state_parts),
@@ -996,6 +1005,10 @@ class MultiprocWalkEngine(WalkEngine):
         Stream offsets honor the chunk contract: chunk c's draws occupy
         [offset_c, offset_c + len(chunk) * L); shards subdivide rows
         *within* a chunk, slicing that chunk's segment of the stream.
+        Each shard's records come back state-major, and the parent
+        joins them replicate by replicate
+        (:func:`~repro.walks.parallel.interleave_replicates`), so the
+        chunk is in ``(state, hop)`` order like every other engine's.
         The caller's generator is advanced only after the last chunk is
         consumed — an abandoned or failed iteration leaves the stream
         position untouched, same as a failed :meth:`batch_walks` call.
@@ -1009,6 +1022,7 @@ class MultiprocWalkEngine(WalkEngine):
                     "mode": "records", "specs": specs,
                     "starts": starts[chunk_lo + lo : chunk_lo + hi],
                     "states": states[chunk_lo + lo : chunk_lo + hi],
+                    "num_nodes": graph.num_nodes,
                     "length": length, "state": state,
                     "lo": stream_offset + lo, "total": chunk_size,
                 }
@@ -1019,11 +1033,7 @@ class MultiprocWalkEngine(WalkEngine):
             parts: list = [None] * len(tasks)
             self._scatter(tasks, parts.__setitem__)
             stream_offset += chunk_size * length
-            yield _concat_records(
-                [p[0] for p in parts if p[0].size],
-                [p[1] for p in parts if p[1].size],
-                [p[2] for p in parts if p[2].size],
-            )
+            yield interleave_replicates(parts, graph.num_nodes)
         advance_stream(rng, starts.size * length)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

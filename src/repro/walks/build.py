@@ -1,37 +1,50 @@
-"""Out-of-core index construction: external sort into v3 archives (DESIGN.md §15).
+"""Index construction: canonical assembly and external sort (DESIGN.md §15).
 
-``FlatWalkIndex.build`` historically concatenated every first-visit
-record, then argsorted the lot — peak build memory a multiple of the
-final index, so the largest graph the package could *serve* (mmap or
-compressed storage, DESIGN.md §13) was far larger than the largest it
-could *build*.  This module closes that gap (ROADMAP item 3) by turning
-the build into a streaming pipeline:
+Every walk-index builder — ``FlatWalkIndex.build``, the archive builder
+here, the weighted and the dynamic builders — runs the same pipeline:
 
 1. The walk engine yields per-chunk record arrays
-   (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`).
+   (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`), each
+   chunk **state-major**: ``(state, hop)`` order, ``int32`` hits and
+   states, ``int16`` hops
+   (:func:`~repro.walks.parallel.first_visit_records`).  Chunks cover
+   increasing walker ranges, so within one replicate the stream's
+   states only grow; the whole record set in state order is every
+   chunk's replicate-0 block, then every replicate-1 block, and so on.
 2. A :class:`RecordSink` consumes them.  The concrete
-   :class:`ExternalSortSink` reduces each record to its canonical sort
-   key (:func:`~repro.walks.parallel.canonical_record_key` — the key is
-   decodable, so ``(hit, state)`` need not be stored) plus its ``int16``
-   hop, 10 bytes per record; when a ``memory_budget`` is set and the
-   buffer exceeds it, the buffer is sorted and spilled as one *run* to a
-   temp file next to the target.
-3. At finalize the runs are k-way merged — vectorized: emit every
-   buffered record up to the smallest "last buffered key" of any run
-   with unread data, refill, repeat — into an *entry writer*.  Keys are
-   globally unique, so the merged stream equals the in-memory
-   ``argsort`` exactly, and the in-memory path is the degenerate
-   one-run case of the same pipeline (no temp I/O at all).
+   :class:`ExternalSortSink` checks that order as chunks arrive (an
+   engine that breaks it gets a :class:`~repro.errors.RecordOrderError`,
+   not a silently wrong index) and buffers them, 10 bytes per record.
+3. :func:`canonical_entries` — the one canonical assembler — turns the
+   state-major stream into ``(hit, state)`` order with a *stable bucket
+   by hit*: a radix argsort on the hit
+   (:func:`~repro.walks.parallel.radix_argsort`, one 16-bit pass while
+   ``n <= 2**16``, two below ``2**32``) keeps equal hits in state order,
+   so no comparison sort is needed.  Replicates are bucketed in groups
+   of at least :data:`_BUCKET_RECORDS` records and scattered into
+   per-hit cursors, which keeps each radix pass cache-sized.
 
-Three writers close the loop: :class:`DenseEntryWriter` materializes the
-flat arrays (what ``FlatWalkIndex.build`` uses, any budget), and the two
-archive writers append entry bytes to staged sibling files as the merge
-emits them — the delta codec is per-hit-node-block, so complete block
-runs encode incrementally and concatenate to the whole-index encoding —
-then assemble the v3 container through the same atomic header/layout
-writer ``save_index`` uses.  The result is **byte-identical** to saving
-the in-memory build, for every engine and any budget, while peak memory
-is O(budget + chunk walks + per-node metadata) instead of O(entries).
+With ``memory_budget=None`` (the default) that is the whole build: one
+assembly into the final arrays, zero temp I/O.  With a budget, each
+buffer overflow is assembled the same way and spilled as one sorted
+*run* of canonical keys (:func:`~repro.walks.parallel.canonical_record_key`,
+decodable, so ``(hit, state)`` need not be stored) plus hops; at
+finalize the runs are k-way merged — vectorized: emit every buffered
+record up to the smallest "last buffered key" of any run with unread
+data, refill, repeat.  Keys are globally unique, so the merged stream
+equals the in-memory assembly exactly.
+
+Three writers close the loop, each receiving the canonical
+``(state, hop)`` stream (hit nodes are implied by ``indptr``):
+:class:`DenseEntryWriter` materializes the flat arrays (what
+``FlatWalkIndex.build`` uses, any budget), and the two archive writers
+append entry bytes to staged sibling files as the stream arrives — the
+delta codec is per-hit-node-block, so complete block runs encode
+incrementally and concatenate to the whole-index encoding — then
+assemble the v3 container through the same atomic header/layout writer
+``save_index`` uses.  The result is **byte-identical** to saving the
+in-memory build, for every engine and any budget, while peak memory is
+O(budget + chunk walks + per-node metadata) instead of O(entries).
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import obs
-from repro.errors import GraphFormatError, ParameterError
+from repro.errors import GraphFormatError, ParameterError, RecordOrderError
 from repro.graphs.adjacency import Graph
 from repro.walks.backends import WalkEngine, get_engine
 from repro.walks.index import (
@@ -54,8 +67,13 @@ from repro.walks.index import (
     _validate_params,
     scatter_or_bits,
     walker_major_starts,
+    walker_major_states,
 )
-from repro.walks.parallel import canonical_record_key
+from repro.walks.parallel import (
+    canonical_record_key,
+    radix_argsort,
+    replicate_bounds,
+)
 from repro.walks.persistence import (
     FileArraySource,
     _atomic_write_v3,
@@ -78,6 +96,7 @@ __all__ = [
     "RecordSink",
     "ExternalSortSink",
     "DenseEntryWriter",
+    "canonical_entries",
     "BuildReport",
     "build_index_archive",
 ]
@@ -90,7 +109,15 @@ DEFAULT_CHUNK_ROWS = 1 << 19
 
 #: One spilled record: the canonical int64 key plus the int16 hop.
 _RUN_DTYPE = np.dtype([("key", "<i8"), ("hop", "<i2")])
-_RECORD_BYTES = _RUN_DTYPE.itemsize
+
+#: A buffered record: int32 hit, int32 state, int16 hop.
+_RECORD_BYTES = 10
+
+#: :func:`canonical_entries` buckets consecutive replicates together
+#: until a bucket holds at least this many records: big builds get
+#: cache-sized radix passes over a few replicates each, a small record
+#: set (a dynamic splice) one pass over all of them and no scatter.
+_BUCKET_RECORDS = 1 << 18
 
 #: Floor for the per-run merge read block, so a pathologically small
 #: budget still merges in sane-sized I/O units.
@@ -133,14 +160,16 @@ class RecordSink(ABC):
 
 
 class EntryWriter(ABC):
-    """Receiver of the merged, canonically ordered entry stream.
+    """Receiver of the canonically ordered entry stream.
 
     ``begin`` is called once with the full per-node layout (counts are
-    known before the merge starts — the sink bincounts during consume),
-    then ``emit`` receives sorted ``(key, hop)`` batches covering the
-    entries exactly once, in canonical order, and ``finalize`` assembles
-    the result.  ``abort`` must release staged temp files after a failed
-    merge; it is never called after a successful ``finalize``.
+    known before the stream starts — the sink bincounts during consume),
+    then ``emit`` receives ``(state, hop)`` batches covering the entries
+    exactly once, in canonical ``(hit, state)`` order — the hit node of
+    each entry is implied by ``indptr`` and the running position — and
+    ``finalize`` assembles the result.  ``abort`` must release staged
+    temp files after a failed stream; it is never called after a
+    successful ``finalize``.
     """
 
     @abstractmethod
@@ -153,7 +182,7 @@ class EntryWriter(ABC):
     ) -> None: ...
 
     @abstractmethod
-    def emit(self, keys: np.ndarray, hops: np.ndarray) -> None: ...
+    def emit(self, states: np.ndarray, hops: np.ndarray) -> None: ...
 
     @abstractmethod
     def finalize(self): ...
@@ -162,20 +191,124 @@ class EntryWriter(ABC):
 
 
 # ----------------------------------------------------------------------
+# The canonical assembler
+# ----------------------------------------------------------------------
+def canonical_entries(
+    chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]",
+    num_nodes: int,
+    num_replicates: int,
+    counts: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble a state-major record stream into canonical order.
+
+    ``chunks`` are ``(hit, state, hop)`` arrays, each in ``(state, hop)``
+    order, whose states only grow chunk by chunk within a replicate —
+    what :func:`~repro.walks.parallel.first_visit_records` yields for
+    increasing walker ranges, and what :class:`ExternalSortSink` checks.
+    Returns ``(indptr, state, hop)`` in canonical ``(hit, state)``
+    order, byte-identical to the argsort oracle
+    (``FlatWalkIndex._from_records``) over the same records.
+
+    Consecutive replicates are gathered into buckets of at least
+    :data:`_BUCKET_RECORDS` records; a bucket's slices, replicate by
+    replicate and chunk by chunk, are state-major, so a
+    stable radix argsort on its hits puts it in ``(hit, state)`` order;
+    states only grow bucket by bucket, so each hit's records from the
+    bucket go right after those the earlier buckets filed, at a per-hit
+    cursor into ``indptr``.  ``counts`` (the per-hit record counts,
+    when the caller already has them) saves one bincount pass.
+    """
+    n = num_nodes
+    if counts is None:
+        counts = np.zeros(n, dtype=np.int64)
+        for hits, _, _ in chunks:
+            counts += np.bincount(hits, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    total = int(indptr[-1])
+    state = np.empty(total, dtype=entry_state_dtype(n, num_replicates))
+    hop = np.empty(total, dtype=np.int16)
+    if total == 0:
+        return indptr, state, hop
+    bounds = [replicate_bounds(chunk[1], n, num_replicates) for chunk in chunks]
+    edges = [0]
+    filled = 0
+    for rep, size in enumerate(sum(np.diff(b) for b in bounds).tolist()):
+        filled += size
+        if filled >= _BUCKET_RECORDS:
+            edges.append(rep + 1)
+            filled = 0
+    if edges[-1] != num_replicates:
+        edges.append(num_replicates)
+    cursor = indptr[:-1].copy()
+    for lo_rep, hi_rep in zip(edges[:-1], edges[1:]):
+        pieces = _bucket_pieces(bounds, lo_rep, hi_rep)
+        hits, states, hops = (
+            _join([chunks[c][i][lo:hi] for c, lo, hi in pieces])
+            for i in range(3)
+        )
+        order = radix_argsort(hits, n)
+        if len(edges) == 2:  # one bucket: its order is the final one
+            state[:] = states[order]
+            hop[:] = hops[order]
+            break
+        hits = hits[order]
+        heads = np.flatnonzero(np.diff(hits, prepend=-1))
+        sizes = np.diff(heads, append=hits.size)
+        firsts = hits[heads]
+        dest = np.arange(hits.size, dtype=np.int64) + np.repeat(
+            cursor[firsts] - heads, sizes
+        )
+        cursor[firsts] += sizes
+        state[dest] = states[order]
+        hop[dest] = hops[order]
+    return indptr, state, hop
+
+
+def _bucket_pieces(
+    bounds: "list[np.ndarray]", lo_rep: int, hi_rep: int
+) -> "list[tuple[int, int, int]]":
+    """``(chunk, lo, hi)`` slices of replicates ``[lo_rep, hi_rep)`` in
+    state order — replicate by replicate, chunk by chunk — with slices
+    that continue one another in the same chunk merged."""
+    pieces: "list[tuple[int, int, int]]" = []
+    for rep in range(lo_rep, hi_rep):
+        for c, b in enumerate(bounds):
+            lo, hi = int(b[rep]), int(b[rep + 1])
+            if hi == lo:
+                continue
+            if pieces and pieces[-1][0] == c and pieces[-1][2] == lo:
+                pieces[-1] = (c, pieces[-1][1], hi)
+            else:
+                pieces.append((c, lo, hi))
+    return pieces
+
+
+def _join(parts: "list[np.ndarray]") -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+# ----------------------------------------------------------------------
 # The external sorter
 # ----------------------------------------------------------------------
 class ExternalSortSink(RecordSink):
-    """Bounded-memory record sorter: buffer, spill sorted runs, merge.
+    """Bounded-memory canonical assembly: buffer, spill sorted runs, merge.
+
+    ``consume`` checks that each chunk is in ``(state, hop)`` order and
+    that, replicate by replicate, its states follow every earlier
+    chunk's — the precondition of :func:`canonical_entries` — and raises
+    :class:`~repro.errors.RecordOrderError` otherwise.
 
     With ``memory_budget=None`` (the default) nothing ever spills and
-    ``finalize`` is exactly the historical in-memory sort — one argsort
-    over the buffered keys, no temp I/O (the degenerate one-run case).
+    ``finalize`` is one :func:`canonical_entries` pass over the buffered
+    chunks, handed to the writer in a single ``emit`` — no temp I/O.
     With a budget, the record buffer is capped at ``budget`` bytes at 10
-    bytes per record; overflow sorts and spills the buffer as a run file
-    in ``spill_dir`` (the archive's directory on the archive path, the
-    system temp dir otherwise), and ``finalize`` streams the k-way merge
-    of all runs — plus the unsorted tail, sorted in place as one more
-    run — into the writer.  Run files are deleted on every exit path.
+    bytes per record; overflow assembles the buffer and spills it as a
+    run file of canonical keys and hops in ``spill_dir`` (the archive's
+    directory on the archive path, the system temp dir otherwise), and
+    ``finalize`` streams the k-way merge of all runs — plus the buffered
+    tail, assembled the same way as one more run — into the writer.  Run
+    files are deleted on every exit path.
 
     Per-node metadata (the bincounted ``counts`` that become ``indptr``)
     stays in memory — the O(metadata) term of the build's footprint.
@@ -191,15 +324,18 @@ class ExternalSortSink(RecordSink):
         if memory_budget is not None and memory_budget <= 0:
             raise ParameterError("memory_budget must be a positive byte count")
         self._num_nodes = int(num_nodes)
-        self._num_states = int(num_nodes) * int(num_replicates)
+        self._num_replicates = int(num_replicates)
+        self._num_states = self._num_nodes * self._num_replicates
+        self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
         self._budget = None if memory_budget is None else int(memory_budget)
         self._spill_dir = (
             Path(spill_dir) if spill_dir is not None
             else Path(tempfile.gettempdir())
         )
         self._counts = np.zeros(self._num_nodes, dtype=np.int64)
-        self._key_parts: list[np.ndarray] = []
-        self._hop_parts: list[np.ndarray] = []
+        # Highest state consumed so far, per replicate.
+        self._last_state = np.full(self._num_replicates, -1, dtype=np.int64)
+        self._chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
         self._buffered = 0
         self._runs: "list[tuple[Path, int]]" = []
         self._readers: "list[_FileRun]" = []
@@ -216,11 +352,13 @@ class ExternalSortSink(RecordSink):
     def consume(self, hits, states, hops) -> None:
         if hits.size == 0:
             return
+        self._check_order(states)
         self._counts += np.bincount(hits, minlength=self._num_nodes)
-        self._key_parts.append(
-            canonical_record_key(hits, states, self._num_states)
-        )
-        self._hop_parts.append(hops.astype(np.int16, copy=False))
+        self._chunks.append((
+            hits.astype(np.int32, copy=False),
+            states.astype(self._state_dtype, copy=False),
+            hops.astype(np.int16, copy=False),
+        ))
         self._buffered += int(hits.size)
         self.total_records += int(hits.size)
         self.max_hop = max(self.max_hop, int(hops.max()))
@@ -230,25 +368,52 @@ class ExternalSortSink(RecordSink):
         ):
             self._spill()
 
-    def _sorted_buffer(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.concatenate(self._key_parts)
-        hops = np.concatenate(self._hop_parts)
-        # Keys are globally unique (states are unique within a hit block),
-        # so the argsort permutation — hence every downstream byte — is
-        # independent of the sort algorithm and of how records were
-        # partitioned into chunks, shards, or runs.
-        order = np.argsort(keys)
-        self._key_parts.clear()
-        self._hop_parts.clear()
+    def _check_order(self, states: np.ndarray) -> None:
+        if np.any(states[1:] < states[:-1]):
+            raise RecordOrderError(
+                "walk engine yielded a record chunk out of (state, hop) "
+                "order; the canonical assembler needs state-major chunks"
+            )
+        if states[0] < 0 or states[-1] >= self._num_states:
+            raise ParameterError(
+                f"record states must lie in [0, {self._num_states})"
+            )
+        bounds = replicate_bounds(
+            states, self._num_nodes, self._num_replicates
+        )
+        seen = bounds[1:] > bounds[:-1]
+        if np.any(states[bounds[:-1][seen]] <= self._last_state[seen]):
+            raise RecordOrderError(
+                "walk engine yielded a record chunk whose states do not "
+                "follow the earlier chunks' within a replicate; chunks "
+                "must cover increasing walker ranges"
+            )
+        self._last_state[seen] = states[bounds[1:][seen] - 1]
+
+    def _take_buffer(
+        self, counts: "np.ndarray | None" = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Assemble the buffered chunks canonically and drop them."""
+        chunks, self._chunks = self._chunks, []
         self._buffered = 0
-        return keys[order], hops[order]
+        return canonical_entries(
+            chunks, self._num_nodes, self._num_replicates, counts=counts
+        )
+
+    def _buffer_run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buffer as one sorted run: canonical keys and hops."""
+        indptr, state, hop = self._take_buffer()
+        hits = np.repeat(
+            np.arange(self._num_nodes, dtype=np.int64), np.diff(indptr)
+        )
+        return canonical_record_key(hits, state, self._num_states), hop
 
     def _spill(self) -> None:
         records = self._buffered
         with obs.span(
             "index.build.spill", run=len(self._runs) + 1, records=records
         ):
-            keys, hops = self._sorted_buffer()
+            keys, hops = self._buffer_run()
             rec = np.empty(records, dtype=_RUN_DTYPE)
             rec["key"] = keys
             rec["hop"] = hops
@@ -283,25 +448,29 @@ class ExternalSortSink(RecordSink):
                 indptr, self._counts, self.total_records, self.max_hop
             )
             if not self._runs:
-                # Single-run fast path: the whole record set is in memory;
-                # one sort, one emit, zero temp I/O.
-                if self._buffered:
-                    writer.emit(*self._sorted_buffer())
+                # In-memory fast path: one assembly, one emit, no temp I/O.
+                _, state, hop = self._take_buffer(self._counts)
+                writer.emit(state, hop)
             else:
                 runs: list = [
                     self._open_run(path, total) for path, total in self._runs
                 ]
                 if self._buffered:
-                    runs.append(_ArrayRun(*self._sorted_buffer()))
+                    runs.append(_ArrayRun(*self._buffer_run()))
                 block = _MIN_MERGE_BLOCK
                 if self._budget is not None:
                     block = max(
                         _MIN_MERGE_BLOCK,
-                        self._budget // (_RECORD_BYTES * len(runs)),
+                        self._budget // (_RUN_DTYPE.itemsize * len(runs)),
                     )
                 with obs.span("index.build.merge", runs=len(runs)):
                     for keys, hops in _merge_sorted_runs(runs, block):
-                        writer.emit(keys, hops)
+                        writer.emit(
+                            (keys % self._num_states).astype(
+                                self._state_dtype
+                            ),
+                            hops,
+                        )
             result = writer.finalize()
         except BaseException:
             writer.abort()
@@ -325,8 +494,7 @@ class ExternalSortSink(RecordSink):
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         self._runs.clear()
-        self._key_parts.clear()
-        self._hop_parts.clear()
+        self._chunks.clear()
         self._buffered = 0
 
 
@@ -431,87 +599,95 @@ def _merge_sorted_runs(
 # Entry writers
 # ----------------------------------------------------------------------
 class DenseEntryWriter(EntryWriter):
-    """Materialize the flat entry arrays — ``FlatWalkIndex.build``'s sink."""
+    """Materialize the flat entry arrays — ``FlatWalkIndex.build``'s sink.
+
+    An ``emit`` that covers every entry at once (the in-memory build)
+    is adopted as is; partial batches (a merge of spilled runs) are
+    copied into place.
+    """
 
     def __init__(self, num_nodes: int, num_replicates: int):
-        self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
     def begin(self, indptr, counts, total, max_hop) -> None:
         self._indptr = indptr
-        self._state = np.empty(total, dtype=self._state_dtype)
-        self._hop = np.empty(total, dtype=np.int16)
+        self._total = total
+        self._state = None
+        self._hop = None
         self._pos = 0
 
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
+    def emit(self, states, hops) -> None:
+        if states.size == self._total and self._pos == 0:
+            self._state = states.astype(self._state_dtype, copy=False)
+            self._hop = hops.astype(np.int16, copy=False)
+            self._pos = self._total
             return
-        hits, states = np.divmod(keys, self._num_states)
+        if self._state is None:
+            self._state = np.empty(self._total, dtype=self._state_dtype)
+            self._hop = np.empty(self._total, dtype=np.int16)
         lo = self._pos
-        self._pos = lo + keys.size
-        # Assignment narrows int64 -> int32 exactly like the historical
-        # ``states[order].astype(state_dtype)`` (values fit by range).
+        self._pos = lo + states.size
         self._state[lo : self._pos] = states
         self._hop[lo : self._pos] = hops
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._state is None:  # an empty index: nothing was emitted
+            self._state = np.empty(0, dtype=self._state_dtype)
+            self._hop = np.empty(0, dtype=np.int16)
         return self._indptr, self._state, self._hop
 
 
 class _BlockGrouper:
-    """Regroup the sorted entry stream into complete hit-node block spans.
+    """Regroup the canonical entry stream into complete hit-node spans.
 
     The compressed codec and the packed hit rows are per-hit-node-block
     structures, so the archive writers may only encode a block once all
-    its entries have arrived.  Entries arrive in canonical order, so the
-    only incomplete block at any moment is the last one seen: ``push``
-    returns the newly completed span ``[next, last_hit)`` (with per-block
-    counts — interior empty blocks included) and carries the trailing
-    block's entries; ``flush`` closes out the final span up to ``n``.
-    Carry memory is one block — O(the most-hit node's entries).
+    its entries have arrived.  Entries arrive in canonical order and
+    ``indptr`` says where each block ends, so after ``push`` every block
+    ending at or before the running position is complete: ``push``
+    returns the newly completed span ``[next, done)`` (with per-block
+    counts — interior empty blocks included) and carries the entries of
+    the open block; ``flush`` closes out the final span up to ``n``.
+    Carry memory is one block plus one batch.
     """
 
-    def __init__(self, num_nodes: int):
-        self._num_nodes = num_nodes
+    def __init__(self, indptr: np.ndarray):
+        self._indptr = indptr
+        self._num_nodes = indptr.size - 1
         self._next = 0
-        self._carry: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
+        self._pos = 0
+        self._carry: "list[tuple[np.ndarray, np.ndarray]]" = []
 
     def push(
-        self, hits: np.ndarray, states: np.ndarray, hops: np.ndarray
+        self, states: np.ndarray, hops: np.ndarray
     ) -> "list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]":
-        if hits.size == 0:
+        if states.size == 0:
             return []
-        last = int(hits[-1])
-        if last == self._next:
-            self._carry.append((hits, states, hops))
+        self._carry.append((states, hops))
+        self._pos += states.size
+        done = int(np.searchsorted(self._indptr, self._pos, side="right")) - 1
+        return [self._take(done)] if done > self._next else []
+
+    def flush(self) -> "list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]":
+        if self._next >= self._num_nodes:
             return []
-        cut = int(np.searchsorted(hits, last, side="left"))
-        span = self._make_span(last, (hits[:cut], states[:cut], hops[:cut]))
-        self._carry = [(hits[cut:], states[cut:], hops[cut:])]
-        self._next = last
-        return [span]
+        return [self._take(self._num_nodes)]
 
-    def flush(self) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-        span = self._make_span(self._num_nodes, None)
-        self._carry = []
-        self._next = self._num_nodes
-        return span
-
-    def _make_span(self, hi: int, extra):
+    def _take(self, hi: int):
         lo = self._next
-        parts = list(self._carry)
-        if extra is not None and extra[0].size:
-            parts.append(extra)
-        if parts:
-            span_hits = np.concatenate([p[0] for p in parts])
-            states = np.concatenate([p[1] for p in parts])
-            hops = np.concatenate([p[2] for p in parts])
-            counts = np.bincount(span_hits - lo, minlength=hi - lo)
+        take = int(self._indptr[hi] - self._indptr[lo])
+        if self._carry:
+            states = _join([part[0] for part in self._carry])
+            hops = _join([part[1] for part in self._carry])
         else:
             states = np.empty(0, dtype=np.int64)
             hops = np.empty(0, dtype=np.int16)
-            counts = np.zeros(hi - lo, dtype=np.int64)
-        return lo, hi, counts, states, hops
+        self._carry = (
+            [(states[take:], hops[take:])] if states.size > take else []
+        )
+        self._next = hi
+        counts = np.diff(self._indptr[lo : hi + 1])
+        return lo, hi, counts, states[:take], hops[:take]
 
 
 class _ArchiveWriter(EntryWriter):
@@ -614,21 +790,22 @@ class _MmapArchiveWriter(_ArchiveWriter):
             self._crow_containers = 0
             self._crow_data_total = 0
         if self._rows_mode != "stream":
-            self._grouper = _BlockGrouper(self._num_nodes)
+            self._grouper = _BlockGrouper(indptr)
 
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
+    def emit(self, states, hops) -> None:
+        if states.size == 0:
             return
-        hits, states = np.divmod(keys, self._num_states)
-        self._state_f.write(states.astype(self._state_dtype).tobytes())
+        self._state_f.write(
+            np.ascontiguousarray(states, dtype=self._state_dtype).tobytes()
+        )
         self._hop_f.write(
             np.ascontiguousarray(hops, dtype=np.int16).tobytes()
         )
         if self._rows_mode == "dense":
-            for span in self._grouper.push(hits, states, hops):
+            for span in self._grouper.push(states, hops):
                 self._emit_rows(span)
         elif self._rows_mode == "compressed":
-            for span in self._grouper.push(hits, states, hops):
+            for span in self._grouper.push(states, hops):
                 self._emit_crows(span)
 
     def _emit_rows(self, span) -> None:
@@ -693,11 +870,11 @@ class _MmapArchiveWriter(_ArchiveWriter):
 
     def finalize(self) -> Path:
         if self._rows_mode != "stream":
-            span = self._grouper.flush()
-            if self._rows_mode == "dense":
-                self._emit_rows(span)
-            else:
-                self._emit_crows(span)
+            for span in self._grouper.flush():
+                if self._rows_mode == "dense":
+                    self._emit_rows(span)
+                else:
+                    self._emit_crows(span)
         self._header["state_dtype"] = self._state_dtype.str
         arrays: dict = {
             "indptr": self._indptr,
@@ -756,7 +933,6 @@ class _CompressedArchiveWriter(_ArchiveWriter):
     ):
         super().__init__(out, header)
         self._num_nodes = num_nodes
-        self._num_states = num_nodes * num_replicates
         self._state_dtype = entry_state_dtype(num_nodes, num_replicates)
 
     def begin(self, indptr, counts, total, max_hop) -> None:
@@ -771,18 +947,17 @@ class _CompressedArchiveWriter(_ArchiveWriter):
         np.cumsum(hop_word_counts, out=self._hop_wordptr[1:])
         self._delta_f = self._stage("delta")
         self._hop_f = self._stage("hops")
-        self._grouper = _BlockGrouper(n)
+        self._grouper = _BlockGrouper(indptr)
 
-    def emit(self, keys, hops) -> None:
-        if keys.size == 0:
-            return
-        hits, states = np.divmod(keys, self._num_states)
-        for span in self._grouper.push(hits, states, hops):
+    def emit(self, states, hops) -> None:
+        for span in self._grouper.push(states, hops):
             self._encode_span(span)
 
     def _encode_span(self, span) -> None:
         lo, hi, counts, states, hops = span
-        heads, widths, gaps, gap_counts = block_delta_encode(states, counts)
+        heads, widths, gaps, gap_counts = block_delta_encode(
+            states.astype(np.int64, copy=False), counts
+        )
         self._heads[lo:hi] = heads
         self._widths[lo:hi] = widths
         delta_words, delta_wordptr = pack_value_blocks(
@@ -796,7 +971,8 @@ class _CompressedArchiveWriter(_ArchiveWriter):
         self._hop_f.write(hop_words[: hop_wordptr[-1]].tobytes())
 
     def finalize(self) -> Path:
-        self._encode_span(self._grouper.flush())
+        for span in self._grouper.flush():
+            self._encode_span(span)
         # The one global trailing pad word of each packed array (decoders
         # read words[i + 1] unconditionally).
         pad = np.zeros(1, dtype=np.uint64).tobytes()
@@ -893,8 +1069,7 @@ def build_index_archive(
         length=length, num_replicates=num_replicates,
     ):
         starts = walker_major_starts(n, num_replicates)
-        row_ids = np.arange(starts.size, dtype=np.int64)
-        states = (row_ids % num_replicates) * n + starts
+        states = walker_major_states(n, num_replicates)
         with ExternalSortSink(
             n, num_replicates, memory_budget=memory_budget,
             spill_dir=out.parent if spill_dir is None else spill_dir,

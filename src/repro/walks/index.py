@@ -50,6 +50,7 @@ __all__ = [
     "InvertedIndex",
     "FlatWalkIndex",
     "walker_major_starts",
+    "walker_major_states",
     "scatter_or_bits",
 ]
 
@@ -70,6 +71,17 @@ def walker_major_starts(num_nodes: int, num_replicates: int) -> np.ndarray:
     ``[0,0,...,0, 1,1,...,1, ...]``.
     """
     return np.repeat(np.arange(num_nodes, dtype=np.int64), num_replicates)
+
+
+def walker_major_states(num_nodes: int, num_replicates: int) -> np.ndarray:
+    """Flattened ``D`` state of every row of the canonical batch layout.
+
+    Row ``b`` (replicate ``b % R`` of walker ``b // R``) has state
+    ``(b % R) * n + b // R`` — the ``states`` every index builder hands
+    the record extraction alongside :func:`walker_major_starts`.
+    """
+    rows = np.arange(num_nodes * num_replicates, dtype=np.int64)
+    return (rows % num_replicates) * num_nodes + rows // num_replicates
 
 
 def _validate_params(num_nodes: int, length: int, num_replicates: int) -> None:
@@ -331,20 +343,24 @@ class FlatWalkIndex:
         backend (:meth:`~repro.walks.backends.WalkEngine.iter_walk_records`):
         walks are produced in chunks of ``chunk_rows`` rows and reduced to
         first-visit records before the next chunk starts, so peak memory
-        is ``O(chunk_rows * L)`` plus the final entry arrays — and the
-        multiproc backend extracts inside its worker processes, streaming
-        only the records back.  Every registered backend builds a
-        **byte-identical** index under the same ``(seed, chunk_rows)``;
-        entries land in canonical ``(hit, state)`` order regardless of
-        how the work was partitioned.
+        is ``O(chunk_rows * L)`` plus the records and the final entry
+        arrays — and the multiproc backend extracts inside its worker
+        processes, streaming only the records back.  Every registered
+        backend builds a **byte-identical** index under the same
+        ``(seed, chunk_rows)``: entries land in canonical ``(hit, state)``
+        order regardless of how the work was partitioned.
 
-        The record stream feeds the external-sort pipeline of
-        :mod:`repro.walks.build` (DESIGN.md §15).  By default
-        (``memory_budget=None``) every record stays buffered and the sort
-        is the historical single in-memory argsort; with a budget, sorted
-        runs spill to ``spill_dir`` (default: the system temp dir) at 10
-        bytes per record and are merged back — the result is identical
-        either way, the budget only caps the sort's footprint.  (The
+        Each chunk's records arrive state-major — ``(state, hop)``
+        order — and chunks cover increasing walker ranges, so the record
+        stream is already in state order replicate by replicate.  The
+        sink of :mod:`repro.walks.build` (DESIGN.md §15) checks that
+        order as chunks arrive (an out-of-order engine gets a
+        :class:`~repro.errors.RecordOrderError`) and reaches canonical
+        order by a *stable bucket by hit*, a radix argsort on the hit
+        node, with no comparison sort.  With a ``memory_budget``,
+        assembled runs spill to ``spill_dir`` (default: the system temp
+        dir) at 10 bytes per record and are merged back — the result is
+        identical either way, the budget only caps the buffer.  (The
         *final* entry arrays are still materialized here; to cap the
         whole build, write an archive with
         :func:`repro.walks.build.build_index_archive` instead.)
@@ -362,8 +378,7 @@ class FlatWalkIndex:
             length=length, num_replicates=num_replicates,
         ):
             starts = walker_major_starts(n, num_replicates)
-            row_ids = np.arange(starts.size, dtype=np.int64)
-            states = (row_ids % num_replicates) * n + starts  # == rep * n + walker
+            states = walker_major_states(n, num_replicates)
             with ExternalSortSink(
                 n, num_replicates, memory_budget=memory_budget,
                 spill_dir=spill_dir,
@@ -419,17 +434,15 @@ class FlatWalkIndex:
         length: int,
         num_replicates: int,
     ) -> "FlatWalkIndex":
-        # Canonical (hit, state) order.  States are unique within a hit
-        # node (first-visit dedup), so the key is a strict total order:
-        # the assembled index is *independent of record generation
-        # order* — for a fixed (seed, chunk_rows), every backend and
-        # any shard partitioning land on byte-identical arrays, which
-        # is what lets the differential harness compare engines
-        # strictly.  (chunk_rows itself still matters: it shapes the
-        # stream consumption and hence the walks.)  The key helper
-        # forces int64 before multiplying: int32 record arrays would
-        # otherwise wrap the product silently once n * R * hit crosses
-        # 2^31 (NEP 50 keeps int32 * python_int at int32).
+        # The argsort oracle: canonical (hit, state) order for records in
+        # *any* order.  States are unique within a hit node (first-visit
+        # dedup), so the key is a strict total order and the result is
+        # independent of record order — byte-identical to what the
+        # builders' bucket-by-hit assembler (repro.walks.build) makes of
+        # a state-major stream.  Used by InvertedIndex.to_flat and as
+        # the tests' independent reference.  The key helper forces int64
+        # before multiplying: int32 record arrays would otherwise wrap
+        # the product silently once n * R * hit crosses 2^31.
         num_states = num_nodes * num_replicates
         order = np.argsort(canonical_record_key(hits, states, num_states))
         counts = np.bincount(hits, minlength=num_nodes) if hits.size else np.zeros(

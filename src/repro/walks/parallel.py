@@ -35,6 +35,9 @@ __all__ = [
     "slice_first_hits",
     "slice_weighted_walks",
     "first_visit_records",
+    "radix_argsort",
+    "replicate_bounds",
+    "interleave_replicates",
     "canonical_record_key",
     "SharedArrayPack",
     "run_task",
@@ -172,40 +175,133 @@ def slice_weighted_walks(
 # ----------------------------------------------------------------------
 # First-visit record extraction (shared by every index builder)
 # ----------------------------------------------------------------------
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys`` below ``bound``.
+
+    numpy's ``kind="stable"`` on a 16-bit integer type is a radix sort —
+    linear, no comparisons — so this sorts one 16-bit digit per pass,
+    least significant first: one pass while ``bound <= 2**16``, two
+    below ``2**32``.  Stability is the point: records that tie on the
+    key keep their input order, which is how the canonical assembler
+    (:func:`repro.walks.build.canonical_entries`) turns a state-major
+    stream into ``(hit, state)`` order without comparing states.
+    """
+    # astype(uint16) keeps the low 16 bits: each pass sees one digit.
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while (int(bound) - 1) >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def replicate_bounds(
+    states: np.ndarray, num_nodes: int, num_replicates: int
+) -> np.ndarray:
+    """Offsets of each replicate's block in a state-sorted record array.
+
+    States are ``rep * num_nodes + walker``, so in ``(state, hop)``
+    order replicate ``r``'s records are the slice
+    ``[bounds[r], bounds[r + 1])``.
+    """
+    edges = np.arange(num_replicates + 1, dtype=np.int64) * num_nodes
+    return np.searchsorted(states, edges)
+
+
 def first_visit_records(
-    walks: np.ndarray, states: np.ndarray
+    walks: np.ndarray, states: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-visit ``(hit, state, hop)`` records of a block of walks.
 
     The Algorithm-3 extraction shared by the static builder
     (:meth:`~repro.walks.index.FlatWalkIndex.build`), the dynamic builder
-    (:mod:`repro.dynamic.index`), and the multiproc workers (which run it
-    shard-locally and ship back only the records): a position is a record
-    iff its node differs from every earlier position of the walk.
-    ``states`` carries the per-row flattened ``D`` index.
+    (:mod:`repro.dynamic.index`), the weighted builder and the multiproc
+    workers (which run it shard-locally and ship back only the records):
+    a position is a record iff its node differs from every earlier
+    position of the walk.  ``states`` carries the per-row flattened ``D``
+    index ``rep * num_nodes + walker``.
+
+    Records come out **state-major**, in ``(state, hop)`` order, as
+    ``int32`` hits, ``int32`` states (``int64`` once a state passes the
+    int32 range) and ``int16`` hops.  Rows are walker-sorted within each
+    replicate — true of any contiguous run of walker-major rows and of
+    any sorted subset of them — so their state order is a stable bucket
+    by replicate: one radix pass over ``states // num_nodes``, then the
+    fresh mask read row by row.  No comparison sort.
     """
-    batch = walks.shape[0]
-    length = walks.shape[1] - 1
-    hit_parts: list[np.ndarray] = []
-    state_parts: list[np.ndarray] = []
-    hop_parts: list[np.ndarray] = []
+    batch, width = walks.shape
+    length = width - 1
+    states = np.asarray(states)
+    state_dtype = (
+        np.int32 if states.size == 0 or int(states.max()) < _INT32_MAX
+        else np.int64
+    )
+    if batch == 0 or length == 0:
+        return (
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=state_dtype),
+            np.empty(0, dtype=np.int16),
+        )
+    reps = states // num_nodes
+    order = radix_argsort(reps, int(reps.max()) + 1)
+    walks = walks[order]
+    row_states = states[order].astype(state_dtype, copy=False)
+    fresh = np.empty((length, batch), dtype=bool)
     for hop in range(1, length + 1):
-        col = walks[:, hop].astype(np.int64)
-        fresh = np.ones(batch, dtype=bool)
-        for prev in range(hop):
-            np.logical_and(fresh, col != walks[:, prev], out=fresh)
-        if not fresh.any():
-            continue
-        hit_parts.append(col[fresh])
-        state_parts.append(states[fresh])
-        hop_parts.append(np.full(int(fresh.sum()), hop, dtype=np.int64))
-    if not hit_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+        col = walks[:, hop]
+        row = fresh[hop - 1]
+        np.not_equal(col, walks[:, 0], out=row)
+        for prev in range(1, hop):
+            np.logical_and(row, col != walks[:, prev], out=row)
+    # Transposed, the mask is (row, hop); boolean indexing reads it in
+    # row-major order, i.e. (state, hop).
+    mask = fresh.T
+    hops = np.broadcast_to(
+        np.arange(1, length + 1, dtype=np.int16), mask.shape
+    )
     return (
-        np.concatenate(hit_parts),
-        np.concatenate(state_parts),
-        np.concatenate(hop_parts),
+        walks[:, 1:][mask].astype(np.int32, copy=False),
+        np.repeat(row_states, fresh.sum(axis=0)),
+        hops[mask],
+    )
+
+
+def interleave_replicates(
+    parts: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]", num_nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join state-major record parts of consecutive walker ranges.
+
+    Each part is one row shard's :func:`first_visit_records` output, and
+    each shard's walkers follow the previous shard's.  Within a
+    replicate the parts' states therefore increase part by part, so the
+    joined ``(state, hop)`` order is every part's replicate-0 block in
+    part order, then every replicate-1 block, and so on — one
+    concatenation, no sort.
+    """
+    parts = [part for part in parts if part[0].size]
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return (
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int16),
+        )
+    num_reps = max(int(part[1][-1]) for part in parts) // num_nodes + 1
+    bounds = [replicate_bounds(part[1], num_nodes, num_reps) for part in parts]
+    pieces = [
+        (part, b[r], b[r + 1])
+        for r in range(num_reps)
+        for part, b in zip(parts, bounds)
+        if b[r + 1] > b[r]
+    ]
+    return tuple(
+        np.concatenate([part[i][lo:hi] for part, lo, hi in pieces])
+        for i in range(3)
     )
 
 
@@ -215,18 +311,20 @@ def canonical_record_key(
     """The canonical ``hit * num_states + state`` sort key, as ``int64``.
 
     States are unique within one hit node's records (first-visit dedup),
-    so the key is a strict total order over any record set — the one
-    every builder sorts by, in-memory (``FlatWalkIndex._from_records``)
-    and out-of-core (:mod:`repro.walks.build`) alike, kept in one place
-    so the two can never disagree.  Both operands are forced to
-    ``int64`` *before* the multiply: under NEP 50 (numpy >= 2) and under
-    1.x value-based casting alike, ``int32_array * python_int`` stays
-    ``int32`` whenever the scalar fits, so int32 inputs would wrap
+    so the key is a strict total order over any record set.  It is the
+    order every builder produces — by a stable bucket-by-hit of the
+    state-major record stream (:func:`repro.walks.build.canonical_entries`)
+    — and the order the argsort oracle
+    (``FlatWalkIndex._from_records``) sorts arbitrary record sets into.
+    Spilled external-sort runs store it (with the hop) per record, and
+    the dynamic index keeps it to merge edits.  Both operands are forced
+    to ``int64`` *before* the multiply: under NEP 50 (numpy >= 2) and
+    under 1.x value-based casting alike, ``int32_array * python_int``
+    stays ``int32`` whenever the scalar fits, so int32 inputs would wrap
     silently once ``hit * n * R`` crosses 2^31 — reordering entries
     instead of crashing.  Keys are decodable: ``hit = key // num_states``
     and ``state = key % num_states`` (states are ``< num_states`` by
-    construction), which is what lets the external sorter spill only the
-    key per record.
+    construction).
     """
     return (
         hits.astype(np.int64, copy=False) * np.int64(num_states)
@@ -397,7 +495,7 @@ def _run_task_kernel(task: dict):
         walks = slice_walks(
             indptr, indices, degrees, starts, length, state, lo, total
         )
-        return first_visit_records(walks, task["states"])
+        return first_visit_records(walks, task["states"], task["num_nodes"])
     raise ValueError(f"unknown multiproc task mode {mode!r}")
 
 

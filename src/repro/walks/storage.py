@@ -78,10 +78,11 @@ def entry_state_dtype(num_nodes: int, num_replicates: int) -> np.dtype:
     """The dtype every builder stores entry states in.
 
     ``int32`` while the state space ``n * R`` fits, ``int64`` past it —
-    one rule shared by the in-memory assembler
-    (``FlatWalkIndex._from_records``) and the out-of-core archive writer
-    (:mod:`repro.walks.build`), so the two paths can never disagree on
-    the bytes an archive holds.
+    one rule shared by the canonical assembler and the archive writers
+    (:mod:`repro.walks.build`, which the static, weighted and dynamic
+    builders all go through) and the argsort oracle
+    (``FlatWalkIndex._from_records``), so no two paths can disagree on
+    the bytes an index holds.
     """
     return np.dtype(
         np.int32

@@ -233,11 +233,13 @@ class TestEdgeCases:
 
 class TestSinkSeam:
     def test_sink_counts_and_dense_writer_roundtrip(self):
+        # Chunks arrive state-major (the sink's checked precondition):
+        # walkers 0..2, then walker 4, of n=5 nodes and R=2 replicates.
         sink = ExternalSortSink(5, 2)
         sink.consume(
-            np.array([3, 1, 3]), np.array([9, 0, 2]), np.array([2, 1, 1])
+            np.array([1, 3, 0]), np.array([0, 2, 7]), np.array([1, 1, 4])
         )
-        sink.consume(np.array([0]), np.array([7]), np.array([4]))
+        sink.consume(np.array([3]), np.array([9]), np.array([2]))
         assert sink.total_records == 4
         assert sink.max_hop == 4
         indptr, state, hop = sink.finalize(DenseEntryWriter(5, 2))
